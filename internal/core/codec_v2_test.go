@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"github.com/privacy-quagmire/quagmire/internal/corpus"
@@ -11,8 +12,7 @@ import (
 )
 
 // sharedPipeline builds a pipeline whose engines run the shared
-// incremental core — the configuration under which codec v2 persists the
-// interned solver state.
+// incremental core.
 func sharedPipeline(t testing.TB) *Pipeline {
 	t.Helper()
 	p, err := New(Options{SharedSolverCore: true})
@@ -22,91 +22,8 @@ func sharedPipeline(t testing.TB) *Pipeline {
 	return p
 }
 
-// TestCodecV2PersistsSolverCore: encoding a shared-core analysis embeds
-// the interned arena + base clauses, and decoding restores the solver by
-// table load (counted by quagmire_ground_core_restores_total) instead of
-// rebuilding it — with identical verdicts.
-func TestCodecV2PersistsSolverCore(t *testing.T) {
-	ctx := context.Background()
-	p := sharedPipeline(t)
-	orig, err := p.Analyze(ctx, corpus.Mini())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeAnalysis(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env analysisEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Codec != 2 || env.Core == nil {
-		t.Fatalf("shared-core payload: codec %d, core nil=%v; want codec 2 with core", env.Codec, env.Core == nil)
-	}
-	if len(env.Core.Clauses) == 0 || len(env.Core.Arena.Syms) == 0 {
-		t.Fatalf("persisted core is empty: %d clauses, %d syms", len(env.Core.Clauses), len(env.Core.Arena.Syms))
-	}
-
-	p2 := sharedPipeline(t)
-	loaded, err := p2.DecodeAnalysis(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.CoreImage == nil || loaded.Engine.PreloadCore == nil {
-		t.Fatal("decoded analysis lost the core image on the way to the engine")
-	}
-	for q, want := range map[string]query.Verdict{
-		"Does Acme sell my personal information?":                     query.Invalid,
-		"Does Acme share my email address with advertising partners?": query.Valid,
-	} {
-		res, err := loaded.Engine.Ask(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict != want {
-			t.Errorf("%q verdict = %s, want %s", q, res.Verdict, want)
-		}
-	}
-	if restores := p2.Obs().Counter("quagmire_ground_core_restores_total").Value(); restores != 1 {
-		t.Errorf("core restores = %d, want 1", restores)
-	}
-	if builds := p2.Obs().Counter("quagmire_ground_core_builds_total").Value(); builds != 0 {
-		t.Errorf("core builds = %d, want 0 (restore should have preempted the build)", builds)
-	}
-}
-
-// TestCodecV2OmitsCoreWithoutSharedEngine: default pipelines (per-query
-// subgraph solving) have no long-lived core — their payloads must not grow
-// a core section, keeping ingest byte-output unchanged.
-func TestCodecV2OmitsCoreWithoutSharedEngine(t *testing.T) {
-	p, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := p.Analyze(context.Background(), corpus.Mini())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeAnalysis(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(data, []byte(`"core"`)) {
-		t.Error("non-shared payload contains a core section")
-	}
-	var env analysisEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Core != nil {
-		t.Error("non-shared payload decoded with a core image")
-	}
-}
-
-// TestCodecV1StillDecodes: a v1 payload (codec 1, no core section) must
-// decode on a current build — the engine simply rebuilds its core from
-// the knowledge graph as before.
+// TestCodecV1StillDecodes: a v1 payload (codec 1) must decode on a
+// current build, and the engine builds its core from the knowledge graph.
 func TestCodecV1StillDecodes(t *testing.T) {
 	ctx := context.Background()
 	p := sharedPipeline(t)
@@ -118,13 +35,12 @@ func TestCodecV1StillDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Downgrade to the v1 layout: codec 1, core section absent.
+	// Downgrade to the v1 layout: codec 1.
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
 	raw["codec"] = json.RawMessage("1")
-	delete(raw, "core")
 	v1, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +51,6 @@ func TestCodecV1StillDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 payload rejected: %v", err)
 	}
-	if loaded.CoreImage != nil {
-		t.Error("v1 payload produced a core image")
-	}
 	res, err := loaded.Engine.Ask(ctx, "Does Acme share my email address with advertising partners?")
 	if err != nil {
 		t.Fatal(err)
@@ -146,71 +59,91 @@ func TestCodecV1StillDecodes(t *testing.T) {
 		t.Errorf("v1-decoded verdict = %s, want %s", res.Verdict, query.Valid)
 	}
 	if builds := p2.Obs().Counter("quagmire_ground_core_builds_total").Value(); builds != 1 {
-		t.Errorf("core builds = %d, want 1 (v1 has no image to restore)", builds)
+		t.Errorf("core builds = %d, want 1", builds)
 	}
 }
 
-// TestCodecV2RestoresWithoutSharedCore pins the per-policy restore path:
-// a default pipeline (per-query subgraph solving, no shared core) decodes
-// a v2 payload into an engine with identical verdicts and never touches
-// the shared-core restore/build machinery — whether the payload carries a
-// core image or not. This is the path every follower and every default
-// primary takes for each replicated record.
+// sharedCorePayloadFixture is corpus.Mini() encoded by a shared-core
+// pipeline on a build that persisted the solver-core image in codec v2: it
+// carries a "core" section this build no longer reads.
+const sharedCorePayloadFixture = "testdata/mini-shared-core-codec2.json"
+
+// TestCodecV2RestoresWithoutSharedCore is the differential reopen test for
+// the codec: payloads of every provenance — encoded by this build, and the
+// checked-in payload whose "core" section an older build wrote — decode on
+// default and shared-core pipelines into engines whose verdicts match a
+// fresh Analyze of the same policy. A default pipeline never touches the
+// shared-core machinery; a shared-core one builds its core from the
+// knowledge graph, once.
 func TestCodecV2RestoresWithoutSharedCore(t *testing.T) {
 	ctx := context.Background()
-	defaultPipeline := func() *Pipeline {
-		p, err := New(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	questions := []string{
+		"Does Acme sell my personal information?",
+		"Does Acme share my email address with advertising partners?",
+		"Does Acme collect my location?",
+		"Does Acme share my personal information with service providers?",
 	}
-	// Two payload provenances: one encoded without a core image (default
-	// pipeline) and one with (shared-core pipeline). A default decoder
-	// must serve both.
-	encode := func(p *Pipeline) []byte {
-		a, err := p.Analyze(ctx, corpus.Mini())
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := EncodeAnalysis(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+	fixture, err := os.ReadFile(sharedCorePayloadFixture)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{
-		"coreless payload":    encode(defaultPipeline()),
-		"shared-core payload": encode(sharedPipeline(t)),
-	} {
-		p := defaultPipeline()
-		loaded, err := p.DecodeAnalysis(data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if loaded.Engine == nil {
-			t.Fatalf("%s: decoded analysis has no engine", name)
-		}
-		for q, want := range map[string]query.Verdict{
-			"Does Acme sell my personal information?":                     query.Invalid,
-			"Does Acme share my email address with advertising partners?": query.Valid,
-		} {
-			res, err := loaded.Engine.Ask(ctx, q)
+	if !bytes.Contains(fixture, []byte(`"core":`)) {
+		t.Fatal("fixture lost its core section; it no longer pins the old shared-core layout")
+	}
+	for _, shared := range []bool{false, true} {
+		newPipeline := func() *Pipeline {
+			p, err := New(Options{SharedSolverCore: shared})
 			if err != nil {
-				t.Fatalf("%s: %q: %v", name, q, err)
+				t.Fatal(err)
 			}
-			if res.Verdict != want {
-				t.Errorf("%s: %q verdict = %s, want %s", name, q, res.Verdict, want)
-			}
+			return p
 		}
-		obs := p.Obs()
-		for _, counter := range []string{
-			"quagmire_ground_core_restores_total",
-			"quagmire_ground_core_builds_total",
-			"quagmire_ground_core_restore_failures_total",
+		fresh, err := newPipeline().Analyze(ctx, corpus.Mini())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]query.Verdict{}
+		for _, q := range questions {
+			res, err := fresh.Engine.Ask(ctx, q)
+			if err != nil {
+				t.Fatalf("shared=%v: fresh %q: %v", shared, q, err)
+			}
+			want[q] = res.Verdict
+		}
+		if want[questions[0]] != query.Invalid || want[questions[1]] != query.Valid {
+			t.Fatalf("shared=%v: fresh verdicts drifted: %v", shared, want)
+		}
+		encoded, err := EncodeAnalysis(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{
+			"current payload":     encoded,
+			"shared-core payload": fixture,
 		} {
-			if v := obs.Counter(counter).Value(); v != 0 {
-				t.Errorf("%s: %s = %d, want 0 (no shared core in play)", name, counter, v)
+			p := newPipeline()
+			loaded, err := p.DecodeAnalysis(data)
+			if err != nil {
+				t.Fatalf("shared=%v: %s: decode: %v", shared, name, err)
+			}
+			if loaded.Engine == nil {
+				t.Fatalf("shared=%v: %s: decoded analysis has no engine", shared, name)
+			}
+			for _, q := range questions {
+				res, err := loaded.Engine.Ask(ctx, q)
+				if err != nil {
+					t.Fatalf("shared=%v: %s: %q: %v", shared, name, q, err)
+				}
+				if res.Verdict != want[q] {
+					t.Errorf("shared=%v: %s: %q verdict = %s, fresh Analyze says %s", shared, name, q, res.Verdict, want[q])
+				}
+			}
+			wantBuilds := uint64(0)
+			if shared {
+				wantBuilds = 1
+			}
+			if builds := p.Obs().Counter("quagmire_ground_core_builds_total").Value(); builds != wantBuilds {
+				t.Errorf("shared=%v: %s: core builds = %d, want %d", shared, name, builds, wantBuilds)
 			}
 		}
 	}
@@ -248,50 +181,5 @@ func TestCorruptPayloadsErrorNotPanic(t *testing.T) {
 		if _, err := DecodeExtraction(data); err == nil {
 			t.Errorf("%s: extraction decode accepted a corrupt payload", name)
 		}
-	}
-}
-
-// TestCorruptCoreImageFallsBack: a tampered core image must not fail the
-// decode or the query — the engine detects the corruption at first use
-// and falls back to the full build.
-func TestCorruptCoreImageFallsBack(t *testing.T) {
-	ctx := context.Background()
-	p := sharedPipeline(t)
-	a, err := p.Analyze(ctx, corpus.Mini())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeAnalysis(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env analysisEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	env.Core.Arena.Terms[0] = 99 // invalid term kind
-	corrupted, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p2 := sharedPipeline(t)
-	loaded, err := p2.DecodeAnalysis(corrupted)
-	if err != nil {
-		t.Fatalf("decode rejected payload with corrupt core: %v", err)
-	}
-	res, err := loaded.Engine.Ask(ctx, "Does Acme share my email address with advertising partners?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != query.Valid {
-		t.Errorf("fallback verdict = %s, want %s", res.Verdict, query.Valid)
-	}
-	obs := p2.Obs()
-	if fails := obs.Counter("quagmire_ground_core_restore_failures_total").Value(); fails != 1 {
-		t.Errorf("restore failures = %d, want 1", fails)
-	}
-	if builds := obs.Counter("quagmire_ground_core_builds_total").Value(); builds != 1 {
-		t.Errorf("core builds = %d, want 1 (the fallback)", builds)
 	}
 }

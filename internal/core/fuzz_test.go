@@ -3,20 +3,18 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"github.com/privacy-quagmire/quagmire/internal/corpus"
-	"github.com/privacy-quagmire/quagmire/internal/smt"
 )
 
 // FuzzDecodeAnalysis: the analysis codec must never panic — truncated,
 // bit-flipped, version-skewed or adversarially structured payloads all
-// come back as errors. When a payload does decode and carries a core
-// image, restoring the solver from it must hold the same property: the
-// image loader is the part of the codec that indexes into itself, so it
-// gets driven explicitly.
+// come back as errors, and a payload whose envelope decodes also yields
+// its extraction.
 func FuzzDecodeAnalysis(f *testing.F) {
-	p, err := New(Options{SharedSolverCore: true})
+	p, err := New(Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -30,7 +28,7 @@ func FuzzDecodeAnalysis(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // truncated
-	// Version-skewed: future codec, and v1 without a core.
+	// Version-skewed: future codec, and v1.
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(valid, &raw); err != nil {
 		f.Fatal(err)
@@ -39,26 +37,22 @@ func FuzzDecodeAnalysis(f *testing.F) {
 	skewed, _ := json.Marshal(raw)
 	f.Add(skewed)
 	raw["codec"] = json.RawMessage("1")
-	delete(raw, "core")
 	v1, _ := json.Marshal(raw)
 	f.Add(v1)
 	// Structurally valid JSON that is not an envelope.
 	f.Add([]byte(`{"codec":2,"core":{"arena":{"syms":["a"],"terms":[2,0,9],"atoms":[0,1,1,5]},"clauses":[[-1],[64]]}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
+	// A payload an older build wrote with a solver-core image section.
+	fixture, err := os.ReadFile(sharedCorePayloadFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodeAnalysisEnvelope(data)
-		if err != nil {
+		if _, err := DecodeAnalysisEnvelope(data); err != nil {
 			return
-		}
-		if env.CoreImage != nil {
-			// A loadable envelope may still carry a hostile image; the
-			// restore must error, not panic or index out of range.
-			inc, err := smt.NewIncrementalFromImage(smt.Limits{}, smt.FullGrounding, env.CoreImage)
-			if err == nil && inc == nil {
-				t.Fatal("nil solver without error")
-			}
 		}
 		if _, err := DecodeExtraction(data); err != nil {
 			t.Fatalf("envelope decoded but extraction failed: %v", err)

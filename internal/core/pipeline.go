@@ -150,10 +150,6 @@ type Analysis struct {
 	KG *kg.KnowledgeGraph
 	// Engine answers queries (Phase 3).
 	Engine *query.Engine
-	// CoreImage is the persisted shared solver core carried by codec-v2
-	// payloads; BuildEngine seeds the engine's incremental core from it so
-	// the first query restores interned state instead of re-deriving it.
-	CoreImage *smt.CoreImage
 }
 
 // Stats returns the Table 1 metrics of the analysis.

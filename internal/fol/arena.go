@@ -75,9 +75,8 @@ type atomNode struct {
 // callers that share one across goroutines must serialize access (the smt
 // incremental core does).
 type Arena struct {
-	syms    []string
-	symIDs  map[string]Sym
-	varSyms []bool // sym -> interned at least once as a variable
+	syms   []string
+	symIDs map[string]Sym
 
 	terms     []termNode
 	termTable map[uint64][]TermID // structural hash -> candidates
@@ -107,7 +106,6 @@ func (a *Arena) Sym(name string) Sym {
 	id := Sym(len(a.syms))
 	a.syms = append(a.syms, name)
 	a.symIDs[name] = id
-	a.varSyms = append(a.varSyms, false)
 	return id
 }
 
@@ -171,9 +169,6 @@ func (a *Arena) internTermNode(kind TermKind, sym Sym, args []TermID) TermID {
 	id := TermID(len(a.terms))
 	a.terms = append(a.terms, termNode{kind: kind, sym: sym, args: owned, ground: ground})
 	a.termTable[h] = append(a.termTable[h], id)
-	if kind == TermVar {
-		a.varSyms[sym] = true
-	}
 	return id
 }
 

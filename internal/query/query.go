@@ -113,11 +113,6 @@ type Engine struct {
 	// verdicts can differ from subgraph mode where the wider axiom set
 	// strengthens an Unsat.
 	SharedCore bool
-	// PreloadCore, when non-nil alongside SharedCore, seeds the shared
-	// solver from a persisted smt.CoreImage (codec-v2 analysis payloads)
-	// instead of re-clausifying the knowledge graph. Restore failures fall
-	// back to the full build transparently.
-	PreloadCore *smt.CoreImage
 	// Obs, when non-nil, receives verification metrics: per-phase latency
 	// (translate/subgraph/compile/solve), per-verdict counts, fresh solver
 	// time and instantiation counts. Safe to share across engines.

@@ -21,13 +21,8 @@ type sharedState struct {
 	policyUnsat *bool           // memoized base-alone contradiction check
 }
 
-// ensureSharedCoreLocked builds the whole-policy ground core on first use,
-// or restores it from a persisted CoreImage when one was attached (codec
-// v2 payloads): the interned arena and base clauses load positionally
-// instead of being re-derived from the knowledge graph. baseTerms are
-// recomputed from the edges either way — they are a cheap index, not part
-// of the solver state. A restore failure (corrupted or version-skewed
-// image) falls back to the full build. Callers hold e.shared.mu.
+// ensureSharedCoreLocked builds the whole-policy ground core on first use.
+// Callers hold e.shared.mu.
 func (e *Engine) ensureSharedCoreLocked() {
 	if e.shared.inc != nil {
 		return
@@ -37,14 +32,6 @@ func (e *Engine) ensureSharedCoreLocked() {
 	e.shared.baseTerms = make(map[string]bool, len(termList))
 	for _, t := range termList {
 		e.shared.baseTerms[t] = true
-	}
-	if e.PreloadCore != nil {
-		if inc, err := smt.NewIncrementalFromImage(e.Limits, smt.FullGrounding, e.PreloadCore); err == nil {
-			e.shared.inc = inc
-			e.Obs.Counter("quagmire_ground_core_restores_total").Inc()
-			return
-		}
-		e.Obs.Counter("quagmire_ground_core_restore_failures_total").Inc()
 	}
 	placeholderSet := map[string]bool{}
 	facts := e.practiceFacts(edges, placeholderSet)
@@ -56,20 +43,6 @@ func (e *Engine) ensureSharedCoreLocked() {
 	_ = inc.AssertBase(facts...)
 	e.shared.inc = inc
 	e.Obs.Counter("quagmire_ground_core_builds_total").Inc()
-}
-
-// ExportCoreImage returns the persisted form of the shared solver core,
-// building it first if no query has warmed it yet. Nil when the engine
-// runs per-query subgraph solving (no SharedCore) — there is no long-lived
-// core to export.
-func (e *Engine) ExportCoreImage() *smt.CoreImage {
-	if !e.SharedCore {
-		return nil
-	}
-	e.shared.mu.Lock()
-	defer e.shared.mu.Unlock()
-	e.ensureSharedCoreLocked()
-	return e.shared.inc.Image()
 }
 
 // Warm eagerly builds the shared ground core so the engine's first query

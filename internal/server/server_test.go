@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/privacy-quagmire/quagmire/internal/core"
 	"github.com/privacy-quagmire/quagmire/internal/corpus"
@@ -246,12 +247,31 @@ func TestBodySizeLimit(t *testing.T) {
 	}
 }
 
+// TestConcurrentClients fires 20 simultaneous queries and requires every
+// one to succeed. The default admission capacity scales with GOMAXPROCS
+// (2 slots + 16 queued on a 2-CPU host), below the fan-out, so the server
+// gets an explicit capacity that admits or queues them all; shedding past
+// capacity is TestOverloadShedsPastAdmissionCap's business.
 func TestConcurrentClients(t *testing.T) {
-	ts := newTestServer(t)
+	const clients = 20
+	p, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Pipeline: p, Admission: AdmissionConfig{
+		MaxConcurrent: 2,
+		MaxQueue:      clients,
+		QueueWait:     time.Minute,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	id := createPolicy(t, ts)["id"].(string)
 	var wg sync.WaitGroup
-	errs := make(chan error, 20)
-	for i := 0; i < 20; i++ {
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

@@ -96,11 +96,6 @@ type groundCore struct {
 	instTotal     int // distinct instances generated over the core's life
 	skolemSeq     int // per-addFormula skolem tag sequence
 
-	// baseClauses records every base (sel==0) interned clause in assertion
-	// order — the clause half of a CoreImage. Copies, never aliases of
-	// clauses the core may canonicalize in place.
-	baseClauses []fol.IClause
-
 	scratchSub map[fol.Sym]fol.TermID
 	litBuf     []sat.Lit
 	termBuf    []fol.TermID
@@ -310,7 +305,11 @@ func (g *groundCore) pickTriggerInterned(lits fol.IClause, vars []fol.Sym) (fol.
 
 // addFormula clausifies an assertion and feeds it to the core. sel (when
 // non-zero) scopes every resulting clause — original and instances — to
-// that selector. Clausification failures are returned verbatim.
+// that selector. Each interned clause has its constants harvested into the
+// universe and its function symbols noted (they break grounding
+// completeness); ground clauses then go to the SAT core and quantified
+// ones to the instantiation queue. Clausification failures are returned
+// verbatim.
 func (g *groundCore) addFormula(f *fol.Formula, sel sat.Lit) error {
 	tag := ""
 	if g.skolemSeq > 0 {
@@ -323,48 +322,30 @@ func (g *groundCore) addFormula(f *fol.Formula, sel sat.Lit) error {
 	}
 	for _, c := range clauses {
 		ic := g.arena.InternClause(c)
-		if sel == 0 {
-			// Record the interned base clause for CoreImage export. A copy,
-			// not the slice itself: addGround canonicalizes ground clauses
-			// in place.
-			cp := make(fol.IClause, len(ic))
-			copy(cp, ic)
-			g.baseClauses = append(g.baseClauses, cp)
-		}
-		g.addInterned(ic, sel)
-	}
-	return nil
-}
-
-// addInterned feeds one already-interned clause to the core: harvest its
-// constants into the universe, note function symbols (they break grounding
-// completeness), then route ground clauses to the SAT core and quantified
-// ones to the instantiation queue. Shared by clausification (addFormula)
-// and image restore (NewIncrementalFromImage), which skips clausification
-// because the interned clauses were persisted.
-func (g *groundCore) addInterned(ic fol.IClause, sel sat.Lit) {
-	for _, l := range ic {
-		for _, arg := range g.arena.AtomArgs(l.Atom()) {
-			g.harvestConstants(arg)
-			if g.termContainsApp(arg) {
-				if sel == 0 {
-					g.hasFuncsBase = true
-				} else {
-					g.hasFuncsScoped = true
+		for _, l := range ic {
+			for _, arg := range g.arena.AtomArgs(l.Atom()) {
+				g.harvestConstants(arg)
+				if g.termContainsApp(arg) {
+					if sel == 0 {
+						g.hasFuncsBase = true
+					} else {
+						g.hasFuncsScoped = true
+					}
 				}
 			}
 		}
+		vars := g.arena.ClauseVars(ic)
+		if len(vars) == 0 {
+			g.addGround(ic, sel, false)
+			continue
+		}
+		qc := qClause{lits: ic, vars: vars, sel: sel}
+		if g.strategy == TriggerBased {
+			qc.trigger, qc.hasTrigger = g.pickTriggerInterned(ic, vars)
+		}
+		g.quant = append(g.quant, qc)
 	}
-	vars := g.arena.ClauseVars(ic)
-	if len(vars) == 0 {
-		g.addGround(ic, sel, false)
-		return
-	}
-	qc := qClause{lits: ic, vars: vars, sel: sel}
-	if g.strategy == TriggerBased {
-		qc.trigger, qc.hasTrigger = g.pickTriggerInterned(ic, vars)
-	}
-	g.quant = append(g.quant, qc)
+	return nil
 }
 
 // itoa is strconv.Itoa without the import weight in this hot file.
